@@ -30,7 +30,9 @@ check:
 # scenarios through the full health plane — scraper, SLO burn-rate
 # engine, pingmesh heatmap. Text and JSON renderings are each produced
 # twice and byte-compared (the health plane's determinism contract),
-# and the JSON lands in health-report.json for CI to archive.
+# the JSON is diffed against the golden copy under
+# cmd/roce-health/testdata/, and lands in health-report.json for CI to
+# archive.
 # -fail-on-breach=false because the pfc-storm scenario breaching its
 # SLOs is the expected result, not a gate failure.
 health:
@@ -40,6 +42,7 @@ health:
 	$(GO) run ./cmd/roce-health -fail-on-breach=false -json > health-report.json
 	$(GO) run ./cmd/roce-health -fail-on-breach=false -json > /tmp/roce-health-2.json
 	cmp health-report.json /tmp/roce-health-2.json
+	cmp health-report.json cmd/roce-health/testdata/golden.json
 	@cat /tmp/roce-health-1.txt
 
 # Fault-injection campaigns (see EXPERIMENTS.md "Chaos campaigns").

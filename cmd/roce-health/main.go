@@ -52,6 +52,13 @@ func run(scenario string, seed int64, durationMS int64) ([]*health.Report, error
 	return out, nil
 }
 
+// renderJSON produces exactly the bytes -json prints: the reports as an
+// indented JSON array and a trailing newline.
+func renderJSON(reports []*health.Report) ([]byte, error) {
+	b, err := json.MarshalIndent(reports, "", "  ")
+	return append(b, '\n'), err
+}
+
 func main() {
 	scenario := flag.String("scenario", "all",
 		fmt.Sprintf("scenario to run: %s, or all", strings.Join(experiments.HealthScenarios(), ", ")))
@@ -70,12 +77,12 @@ func main() {
 	}
 
 	if *jsonOut {
-		b, err := json.MarshalIndent(reports, "", "  ")
+		b, err := renderJSON(reports)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "roce-health:", err)
 			os.Exit(2)
 		}
-		fmt.Printf("%s\n", b)
+		os.Stdout.Write(b)
 	} else {
 		for i, r := range reports {
 			if i > 0 {

@@ -1,9 +1,47 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden snapshot")
+
+// TestGoldenJSON pins the complete -json output for seed 1: both
+// scenarios are byte-deterministic, so any diff against the golden copy
+// is a real behavior change. Regenerate with `go test
+// ./cmd/roce-health -run TestGoldenJSON -update` and review the diff.
+func TestGoldenJSON(t *testing.T) {
+	reports, err := run("all", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := renderJSON(reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "golden.json")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("reports drifted from %s (%d vs %d bytes); rerun with -update if intentional",
+			golden, len(got), len(want))
+	}
+}
 
 // TestReportsByteDeterministic is the acceptance gate: both scenarios,
 // run twice from the same seed, render byte-identical text AND JSON

@@ -10,9 +10,11 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"rocesim/internal/dcqcn"
 	"rocesim/internal/fabric"
+	"rocesim/internal/health"
 	"rocesim/internal/irn"
 	"rocesim/internal/monitor"
 	"rocesim/internal/nic"
@@ -185,7 +187,7 @@ type Config struct {
 	// Alpha overrides the dynamic-buffer parameter (default 1/16; the
 	// incident of §6.2 shipped 1/64).
 	Alpha float64
-	// MonitorInterval is the counter-collection period (the paper plots
+	// MonitorInterval is the health scrape period (the paper plots
 	// five-minute buckets; simulations use shorter ones).
 	MonitorInterval simtime.Duration
 	// MTTRegionBytes sizes the registered-memory region the slow
@@ -216,10 +218,14 @@ func DefaultConfig(spec topology.Spec) Config {
 
 // Deployment is a built, monitored fabric.
 type Deployment struct {
-	K       *sim.Kernel
-	Cfg     Config
-	Net     *topology.Network
-	Mon     *monitor.Collector
+	K   *sim.Kernel
+	Cfg Config
+	Net *topology.Network
+	// Health scrapes every device's pause_rx and lossless_drops counters
+	// into per-interval delta series once per MonitorInterval, in the
+	// kernel's observer band. Experiments and campaigns hang their
+	// per-interval readers (OnScrape) and SLO engines off it.
+	Health  *health.Scraper
 	Configs *monitor.ConfigStore
 
 	dcqcnParams dcqcn.Params
@@ -290,16 +296,18 @@ func New(k *sim.Kernel, cfg Config) (*Deployment, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	d := &Deployment{
-		K:           k,
-		Cfg:         cfg,
-		Net:         net,
-		Mon:         monitor.NewCollector(k, cfg.MonitorInterval),
+		K:   k,
+		Cfg: cfg,
+		Net: net,
+		Health: health.NewScraper(k, health.ScrapeConfig{
+			Interval: cfg.MonitorInterval,
+			Filter:   deviceCounter,
+		}),
 		Configs:     monitor.NewConfigStore(),
 		dcqcnParams: dcqcn.DefaultParams(spec.LinkRate),
 	}
 	d.Configs.SetClock(k.Now)
 	for _, sw := range net.Switches() {
-		d.Mon.WatchSwitch(sw)
 		read := monitor.SwitchConfigReader(sw)
 		d.Configs.RegisterReader(sw.Name(), read)
 		d.Configs.RegisterWriter(sw.Name(), monitor.SwitchConfigWriter(sw))
@@ -313,7 +321,6 @@ func New(k *sim.Kernel, cfg Config) (*Deployment, error) {
 		d.Configs.SetDesired(sw.Name(), want)
 	}
 	for _, s := range net.Servers {
-		d.Mon.WatchNIC(s.NIC)
 		// NICs are managed too: desired is captured from the as-built
 		// configuration (NICTweak included), so a fresh deployment is
 		// drift-free and any later divergence — or a NIC outside the
@@ -322,7 +329,15 @@ func New(k *sim.Kernel, cfg Config) (*Deployment, error) {
 		d.Configs.RegisterReader(s.NIC.Name(), read)
 		d.Configs.SetDesired(s.NIC.Name(), read())
 	}
+	d.Health.Start()
 	return d, nil
+}
+
+// deviceCounter selects the registry keys the deployment's scraper
+// keeps: each device's pause_rx and lossless_drops totals. Per-port
+// labelled keys ("tor-0-0/pause_rx{port=2}") end in "}" and stay out.
+func deviceCounter(key string) bool {
+	return strings.HasSuffix(key, "/pause_rx") || strings.HasSuffix(key, "/lossless_drops")
 }
 
 // desiredSwitchConfig is the operator intent recorded in the config

@@ -262,3 +262,30 @@ func TestTransportModeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleDeploymentFiresOneScrapePerInterval pins the deployment's
+// sampling cost: an idle fabric without watchdogs fires exactly one
+// event per MonitorInterval — the health scrape — whether it runs on
+// one kernel or across shards. Event counts printed by the examples and the
+// benchmark digests depend on it.
+func TestIdleDeploymentFiresOneScrapePerInterval(t *testing.T) {
+	const n = 7
+	for _, shards := range []int{1, 2} {
+		k := sim.NewRoot(9, shards)
+		cfg := DefaultConfig(topology.RackSpec(4))
+		// Watchdogs poll on their own timers; with them off nothing but
+		// the scraper has work on an idle fabric.
+		cfg.Safety.NICWatchdog, cfg.Safety.SwitchWatchdog = false, false
+		d, err := New(k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.RunUntil(simtime.Time(n * cfg.MonitorInterval))
+		if got := k.EventsFired(); got != n {
+			t.Errorf("shards=%d: %d events over %d intervals, want %d", shards, got, n, n)
+		}
+		if d.Health.Scrapes != n {
+			t.Errorf("shards=%d: %d scrapes, want %d", shards, d.Health.Scrapes, n)
+		}
+	}
+}

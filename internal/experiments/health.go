@@ -157,15 +157,11 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 	pm.AddPair(net, net.Server(0, 1, 3), net.Server(0, 0, 3))
 	pm.Start()
 
-	// The scraper samples pause/drop counters as deltas plus the MMU
-	// watermark probes; the probe feeds the watermark sketch as a side
-	// effect so the distribution and the time series stay in lockstep.
-	sc := health.NewScraper(k, health.ScrapeConfig{
-		Interval: dcfg.MonitorInterval,
-		Filter: func(key string) bool {
-			return hasSuffix(key, "/pause_rx") || hasSuffix(key, "/lossless_drops")
-		},
-	})
+	// The deployment's scraper samples pause/drop counters as deltas;
+	// the MMU watermark probes join it here, feeding the watermark sketch
+	// as a side effect so the distribution and the time series stay in
+	// lockstep.
+	sc := d.Health
 	for _, sw := range net.Switches() {
 		mmu := sw.MMU()
 		sc.Probe("health/buffer_shared_bytes/"+sw.Name(), func() float64 {
@@ -205,7 +201,6 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 		Name: "goodput-floor-500mbps",
 		Bad:  health.Below(lastRate, 0.5),
 	})
-	sc.Start()
 
 	k.RunUntil(simtime.Time(cfg.Duration))
 
@@ -218,8 +213,4 @@ func RunHealth(cfg HealthConfig) (*health.Report, error) {
 	rep.AddSketch("health/buffer_shared_bytes", bufSk)
 	rep.AddHeatmap(heat)
 	return rep, nil
-}
-
-func hasSuffix(s, suffix string) bool {
-	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
 }

@@ -85,6 +85,12 @@ func RunAlpha(cfg AlphaConfig) AlphaResult {
 	if cfg.Observe != nil {
 		cfg.Observe(k)
 	}
+	var peak float64
+	onPauseRx(d, func(_, max float64) {
+		if max > peak {
+			peak = max
+		}
+	})
 
 	// Chatty front ends on ToR 0, backends on ToR 1. Large synchronized
 	// responses incast into the front ends.
@@ -125,12 +131,6 @@ func RunAlpha(cfg AlphaConfig) AlphaResult {
 	var pauseTx uint64
 	for _, sw := range net.Tors {
 		pauseTx += snap.Counter(sw.Name() + "/pause_tx")
-	}
-	var peak float64
-	for name, s := range d.Mon.Series {
-		if len(name) > 9 && name[len(name)-9:] == "/pause_rx" && s.Max() > peak {
-			peak = s.Max()
-		}
 	}
 	var ops uint64
 	for _, svc := range chatty {

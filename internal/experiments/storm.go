@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"rocesim/internal/core"
 	"rocesim/internal/flighttrace"
-	"rocesim/internal/monitor"
 	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
 	"rocesim/internal/stats"
@@ -125,6 +125,18 @@ func RunStorm(cfg StormConfig) StormResult {
 		(&workload.Streamer{QP: qa, Size: 1 << 20}).Start(2)
 	}
 
+	var peak float64
+	var agg *stats.Series
+	onPauseRx(d, func(total, max float64) {
+		if agg == nil {
+			agg = &stats.Series{Name: "pause_rx(all)", Interval: dcfg.MonitorInterval.Seconds()}
+		}
+		agg.Record(total)
+		if max > peak {
+			peak = max
+		}
+	})
+
 	phase := cfg.Duration / 4
 	measure := func(from, to simtime.Duration) (float64, []uint64) {
 		start := make([]uint64, pairs)
@@ -156,26 +168,6 @@ func RunStorm(cfg StormConfig) StormResult {
 	for i := range streams {
 		if stormDeltas[i] < base[i]/2 {
 			affectedCount++
-		}
-	}
-
-	var peak float64
-	var agg *stats.Series
-	for name, s := range d.Mon.Series {
-		if len(name) > 9 && name[len(name)-9:] == "/pause_rx" {
-			if s.Max() > peak {
-				peak = s.Max()
-			}
-			if agg == nil {
-				agg = &stats.Series{Name: "pause_rx(all)", Interval: s.Interval}
-				agg.Samples = append(agg.Samples, s.Samples...)
-			} else {
-				for i, v := range s.Samples {
-					if i < len(agg.Samples) {
-						agg.Samples[i] += v
-					}
-				}
-			}
 		}
 	}
 
@@ -212,4 +204,24 @@ func StormIncident(r StormResult) string {
 	return out
 }
 
-var _ = monitor.DefaultPingmesh // keep the monitor linkage explicit
+// onPauseRx calls fn after every health scrape of d with the interval's
+// pause frames received, summed over every device and at the busiest
+// one — the Figure 9(b)/10(b) aggregate and peak. Only device totals
+// count: the scraper never keeps the per-port labelled keys.
+func onPauseRx(d *core.Deployment, fn func(total, max float64)) {
+	sc := d.Health
+	sc.OnScrape(func(simtime.Time) {
+		total, max := 0.0, 0.0
+		for _, key := range sc.Keys {
+			if !strings.HasSuffix(key, "/pause_rx") {
+				continue
+			}
+			b, _ := sc.Series[key].Last()
+			total += b.Sum
+			if b.Sum > max {
+				max = b.Sum
+			}
+		}
+		fn(total, max)
+	})
+}

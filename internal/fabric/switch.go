@@ -195,9 +195,9 @@ type Counters struct {
 }
 
 // newCounters registers the switch-level counters. The metric names
-// deliberately match the collector's historical series names
-// ("<device>/pause_rx", "<device>/lossless_drops", ...), so suffix-based
-// aggregation keeps working across the registry migration.
+// follow the "<device>/<counter>" shape ("<device>/pause_rx",
+// "<device>/lossless_drops", ...) that suffix-based aggregation and the
+// health scraper's device filter rely on.
 func newCounters(r *telemetry.Registry, name string) Counters {
 	return Counters{
 		RxFrames:           r.Counter(name + "/rx_frames"),

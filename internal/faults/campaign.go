@@ -3,14 +3,12 @@ package faults
 import (
 	"bytes"
 	"math"
-	"strings"
 
 	"rocesim/internal/core"
 	"rocesim/internal/fabric"
 	"rocesim/internal/flighttrace"
 	"rocesim/internal/health"
 	"rocesim/internal/invariant"
-	"rocesim/internal/monitor"
 	"rocesim/internal/nic"
 	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
@@ -65,8 +63,8 @@ type Campaign struct {
 	Scenarios []Scenario
 	Faults    []FaultSpec
 
-	// DetectPauseRx / DetectLosslessDrops parameterize the live incident
-	// detector (per-device, per 10 ms interval). Defaults: 4 / 1 — at
+	// DetectPauseRx / DetectLosslessDrops are the per-device, per-scrape
+	// (10 ms) thresholds of the cell's objectives. Defaults: 4 / 1 — at
 	// 10GbE, pause refreshes arrive at most ~6 per 10 ms interval.
 	DetectPauseRx       float64
 	DetectLosslessDrops float64
@@ -107,8 +105,8 @@ func (c Campaign) Run() *Scorecard {
 // runCell runs one (scenario, fault) pair in its own kernel, seeded from
 // the campaign seed and the cell name so cells are independent but
 // reproducible, with the invariant auditor and a flight recorder
-// attached, the incident detector armed, and per-interval throughput
-// sampled off the deployment's collector.
+// attached, SLO objectives on the deployment's health scraper, and
+// per-interval throughput sampled off the same scrape.
 func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 	cell := Cell{Scenario: s.Name, Fault: f.Name, Transport: s.Transport.String(), Expect: f.Expect}
 	k := sim.NewKernel(c.Seed ^ int64(fnv64(s.Name+"/"+f.Name)))
@@ -137,11 +135,13 @@ func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 	}
 
 	// Per-interval progress of the measured streams, in bytes, sampled
-	// on the collector tick so windows align with the detector's view.
+	// on the deployment's health scrape so windows align with the
+	// objectives' view.
+	hs := d.Health
 	var windows []float64
 	var windowEnd []simtime.Time
 	var lastBytes uint64
-	d.Mon.AfterSample(func(now simtime.Time) {
+	hs.OnScrape(func(now simtime.Time) {
 		var tot uint64
 		for _, st := range streams {
 			tot += st.Done * uint64(st.Size)
@@ -151,27 +151,14 @@ func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 		lastBytes = tot
 	})
 
-	det := monitor.NewIncidentDetector(d.Mon, c.DetectPauseRx)
-	det.LosslessDropsPerInterval = c.DetectLosslessDrops
-	det.ClearAfter = 2
-	det.Arm()
-
-	// The SLO path watches the same signals as the detector — pause-rx
-	// and lossless-drop deltas per monitor interval — but through the
-	// health plane's burn-rate engine, so every cell scores both
-	// time-to-detect numbers side by side. Both windows span a single
-	// scrape: the campaign's faults include one-interval blips (a flap's
-	// single pause burst) that the detector pages on, and the columns
-	// are only comparable if the objectives mirror its per-interval
-	// thresholds exactly — the multi-window discipline is the health
-	// scenarios' job. The scraper runs in the kernel's observer band and
-	// never perturbs component events.
-	hs := health.NewScraper(k, health.ScrapeConfig{
-		Interval: d.Cfg.MonitorInterval,
-		Filter: func(key string) bool {
-			return strings.HasSuffix(key, "/pause_rx") || strings.HasSuffix(key, "/lossless_drops")
-		},
-	})
+	// Three objectives watch pause-rx and lossless-drop deltas per
+	// monitor interval. Both windows span a single scrape: the
+	// campaign's faults include one-interval blips (a flap's single
+	// pause burst) that must page, so the objectives mirror the
+	// per-interval thresholds exactly — the multi-window discipline is
+	// the health scenarios' job. "incident" pages on either signal and
+	// names the worst device; the two per-signal objectives score
+	// sloDetectNs.
 	eng := health.NewEngine(k, hs)
 	eng.Add(health.Objective{
 		Name: "pause-rx", Bad: health.OverDelta(hs, "/pause_rx", c.DetectPauseRx),
@@ -181,7 +168,25 @@ func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 		Name: "lossless-drops", Bad: health.OverDelta(hs, "/lossless_drops", c.DetectLosslessDrops),
 		LongWindow: d.Cfg.MonitorInterval,
 	})
-	hs.Start()
+	var devices []string
+	for _, sw := range d.Net.Switches() {
+		devices = append(devices, sw.Name())
+	}
+	for _, srv := range d.Net.Servers {
+		devices = append(devices, srv.NIC.Name())
+	}
+	culprits := map[simtime.Time]string{} // worst device of each hot scrape
+	eng.Add(health.Objective{
+		Name: "incident", LongWindow: d.Cfg.MonitorInterval,
+		Bad: func(now simtime.Time) float64 {
+			dev := c.culprit(hs, devices)
+			if dev == "" {
+				return 0
+			}
+			culprits[now] = dev
+			return 1
+		},
+	})
 
 	k.RunUntil(simtime.Time(s.Duration))
 	aud.Finish()
@@ -229,32 +234,43 @@ func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 		cell.RecoveryMS = round3(windowEnd[lastBad].Sub(faultAt).Seconds() * 1e3)
 	}
 
-	// Detection: the first alert at or after fault onset. A cell whose
-	// incident opened BEFORE the fault and never cleared (the unsafe
-	// fleet runs congested enough to keep the detector hot) counts as
-	// detected at onset — the pager was already ringing.
-	for _, a := range det.Alerts {
-		if !a.At.Before(faultAt) {
+	// Detection: the first incident breach at or after fault onset. A
+	// cell whose incident opened BEFORE the fault and never cleared (the
+	// unsafe fleet runs congested enough to keep the objective hot)
+	// counts as detected at onset — the pager was already ringing.
+	status := eng.Status() // registration order: pause-rx, lossless-drops, incident
+	var breaches []simtime.Time
+	sloFirst := simtime.Time(-1)
+	for _, a := range eng.Alerts {
+		switch {
+		case a.Cleared:
+		case a.Objective == "incident":
+			breaches = append(breaches, a.At)
+		case sloFirst < 0 && !a.At.Before(faultAt):
+			sloFirst = a.At
+		}
+	}
+	for _, at := range breaches {
+		if !at.Before(faultAt) {
 			cell.Detected = true
-			cell.DetectMS = round3(a.At.Sub(faultAt).Seconds() * 1e3)
-			cell.DetectedBy = a.Device
+			cell.DetectMS = round3(at.Sub(faultAt).Seconds() * 1e3)
+			cell.DetectedBy = culprits[at]
 			break
 		}
 	}
-	if !cell.Detected && det.Triggered() && len(det.Alerts) > 0 {
-		last := det.Alerts[len(det.Alerts)-1]
+	if !cell.Detected && status[2].Breached {
 		cell.Detected = true
-		cell.DetectedBy = last.Device
+		cell.DetectedBy = culprits[breaches[len(breaches)-1]]
 	}
 
-	// SLO time-to-detect: the burn-rate engine's first breach at or
+	// SLO time-to-detect: the per-signal objectives' first breach at or
 	// after fault onset, in ns from onset. A cell whose only breach
 	// opened before the fault and is still open at end of run scores 0 —
-	// the pager was already ringing, same rule as the detector above.
+	// the pager was already ringing, same rule as above.
 	cell.SLODetectNs = -1
-	if at, ok := eng.FirstBreachAfter(faultAt); ok {
-		cell.SLODetectNs = int64(at.Sub(faultAt) / simtime.Nanosecond)
-	} else if eng.Breached() {
+	if sloFirst >= 0 {
+		cell.SLODetectNs = int64(sloFirst.Sub(faultAt) / simtime.Nanosecond)
+	} else if status[0].Breached || status[1].Breached {
 		cell.SLODetectNs = 0
 	}
 
@@ -277,6 +293,34 @@ func (c Campaign) runCell(s Scenario, f FaultSpec) Cell {
 	}
 	rec.Close()
 	return cell
+}
+
+// culprit is the incident objective's verdict on the latest scrape: the
+// device with the largest pause_rx delta when that reaches
+// DetectPauseRx, else the one with the largest lossless_drops delta
+// when that reaches DetectLosslessDrops, else "" (calm). devices are
+// scanned in order and the first one wins a tie.
+func (c Campaign) culprit(hs *health.Scraper, devices []string) string {
+	worst := func(suffix string) (string, float64) {
+		dev, max := "", 0.0
+		for _, dv := range devices {
+			s := hs.Series[dv+suffix]
+			if s == nil {
+				continue
+			}
+			if b, _ := s.Last(); dev == "" || b.Sum > max {
+				dev, max = dv, b.Sum
+			}
+		}
+		return dev, max
+	}
+	if dev, v := worst("/pause_rx"); v >= c.DetectPauseRx {
+		return dev
+	}
+	if dev, v := worst("/lossless_drops"); v >= c.DetectLosslessDrops {
+		return dev
+	}
+	return ""
 }
 
 // safeguards reports which of the paper's defenses demonstrably acted

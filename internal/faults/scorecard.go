@@ -15,8 +15,8 @@ type Cell struct {
 	// "pfc+dcqcn", "irn-no-pfc" or "irn+ecn".
 	Transport string `json:"transport"`
 
-	// Detection: did the live incident detector raise an alert at or
-	// after fault onset, how long after, and on which device.
+	// Detection: did the cell's "incident" objective breach at or after
+	// fault onset, how long after, and on which device.
 	Detected   bool    `json:"detected"`
 	DetectMS   float64 `json:"detect_ms"`
 	DetectedBy string  `json:"detected_by,omitempty"`

@@ -55,7 +55,7 @@ func (r *ring) snapshot() []Record {
 
 // Recorder is the flight recorder: a bounded ring of recent trace
 // events per device. It runs continuously at fixed memory cost and is
-// dumped after the fact — when the incident detector fires — to show
+// dumped after the fact — when an SLO objective breaches — to show
 // what the fabric was doing in the moments before an incident.
 type Recorder struct {
 	perDevice int

@@ -11,7 +11,7 @@
 //     "which device started this pause storm?" (§6 of the paper: the
 //     storming NIC, or the switch with a misconfigured α).
 //   - Recorder keeps a bounded ring of recent events per device — a
-//     flight recorder dumped when the incident detector fires — with
+//     flight recorder dumped when an SLO objective breaches — with
 //     Chrome trace-event JSON and plain-text exporters.
 //
 // Everything here is a passive trace-bus subscriber: with no tracer

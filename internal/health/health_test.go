@@ -1,12 +1,16 @@
 package health
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"rocesim/internal/flighttrace"
 	"rocesim/internal/sim"
 	"rocesim/internal/simtime"
 	"rocesim/internal/stats"
+	"rocesim/internal/telemetry"
 	"rocesim/internal/topology"
 )
 
@@ -338,5 +342,161 @@ func TestHeatmapRenderAndReportDiff(t *testing.T) {
 		if !found {
 			t.Errorf("diff missing %q: %v", w, d)
 		}
+	}
+}
+
+// TestTieredSeriesHoldsOnlyRecordedSamples: rings grow on demand, so a
+// series that saw fewer samples than its caps holds exactly those — a
+// fleet-scale scrape keeps tens of thousands of short series.
+func TestTieredSeriesHoldsOnlyRecordedSamples(t *testing.T) {
+	ts := NewTieredSeries("x", 512, 256, 256)
+	for i := 1; i <= 3; i++ {
+		ts.Record(simtime.Time(i), float64(i))
+	}
+	if raw, mid, coarse := ts.Tiers(); raw != 3 || mid != 0 || coarse != 0 {
+		t.Fatalf("tiers = %d/%d/%d, want 3/0/0", raw, mid, coarse)
+	}
+	if c := cap(ts.raw.buf); c < 3 || c >= 512 {
+		t.Fatalf("raw ring allocated %d buckets for 3 samples", c)
+	}
+	if ts.mid.buf != nil || ts.coarse.buf != nil {
+		t.Fatal("downsampled tiers allocated before their first fold")
+	}
+	if b := ts.Window(0, 1<<62); b.N != 3 || b.Sum != 6 {
+		t.Fatalf("window = %+v", b)
+	}
+}
+
+// detector wires the per-interval incident rule the chaos campaign
+// scores with: one objective whose short and long windows both span a
+// single scrape, so a scrape with any device's pause_rx delta ≥ max
+// breaches at once, and clearAfter calm scrapes clear it. It returns the
+// engine and the device counter to drive.
+func detector(k *sim.Kernel, max float64, clearAfter int) (*Engine, *telemetry.Counter) {
+	ctr := k.Metrics().Counter("dev/pause_rx")
+	sc := NewScraper(k, ScrapeConfig{Interval: 10 * simtime.Millisecond})
+	e := NewEngine(k, sc)
+	e.Add(Objective{
+		Name: "incident", Bad: OverDelta(sc, "/pause_rx", max),
+		LongWindow: sc.Interval(), ClearAfter: clearAfter,
+	})
+	sc.Start()
+	return e, ctr
+}
+
+// addAt bumps ctr by n at the given offset.
+func addAt(k *sim.Kernel, ctr *telemetry.Counter, at simtime.Duration, n uint64) {
+	k.After(at, func() { ctr.Add(n) })
+}
+
+// breachTimes lists the engine's breach (not clear) instants in ms.
+func breachTimes(e *Engine) []int64 {
+	var out []int64
+	for _, a := range e.Alerts {
+		if !a.Cleared {
+			out = append(out, int64(a.At/simtime.Time(simtime.Millisecond)))
+		}
+	}
+	return out
+}
+
+// TestDetectorAlertsOnFirstOverScrape: a delta below the threshold never
+// pages; the first scrape at or over it does, on that very scrape.
+func TestDetectorAlertsOnFirstOverScrape(t *testing.T) {
+	k := sim.NewKernel(10)
+	e, ctr := detector(k, 100, 2)
+	addAt(k, ctr, 1*simtime.Millisecond, 99)   // 10ms scrape: 99, calm
+	addAt(k, ctr, 21*simtime.Millisecond, 100) // 30ms scrape: 100, breach
+	k.RunUntil(simtime.Time(25 * simtime.Millisecond))
+	if e.EverBreached() {
+		t.Fatalf("below-threshold scrape paged: %+v", e.Alerts)
+	}
+	k.RunUntil(simtime.Time(30 * simtime.Millisecond))
+	if got := breachTimes(e); len(got) != 1 || got[0] != 30 || !e.Breached() {
+		t.Fatalf("breaches at %v ms, want [30]", got)
+	}
+	if st := e.Status(); st[0].FirstBreachNs != 30e6 {
+		t.Fatalf("status = %+v", st)
+	}
+}
+
+// TestDetectorClearsAfterCalmScrapes: an open incident survives fewer
+// than ClearAfter calm scrapes, a hot scrape resets the calm count, and
+// the ClearAfter-th consecutive calm scrape clears it.
+func TestDetectorClearsAfterCalmScrapes(t *testing.T) {
+	k := sim.NewKernel(11)
+	e, ctr := detector(k, 100, 3)
+	// Hot at 10ms and 30ms; calm at 20ms and from 40ms on.
+	addAt(k, ctr, 1*simtime.Millisecond, 150)
+	addAt(k, ctr, 21*simtime.Millisecond, 150)
+	k.RunUntil(simtime.Time(50 * simtime.Millisecond))
+	if !e.Breached() {
+		t.Fatal("cleared after two calm scrapes (ClearAfter=3)")
+	}
+	k.RunUntil(simtime.Time(60 * simtime.Millisecond))
+	if e.Breached() || len(e.Alerts) != 2 || !e.Alerts[1].Cleared ||
+		e.Alerts[1].At != simtime.Time(60*simtime.Millisecond) {
+		t.Fatalf("want one breach at 10ms cleared at 60ms, alerts = %+v", e.Alerts)
+	}
+}
+
+// TestDetectorBackToBackIncidents: a storm inside an open incident's
+// calm stretch folds into it, and every storm after a genuine clear
+// pages again.
+func TestDetectorBackToBackIncidents(t *testing.T) {
+	k := sim.NewKernel(12)
+	e, ctr := detector(k, 100, 2)
+	for _, ms := range []simtime.Duration{
+		1,      // storm 1: breach at 10ms
+		21,     // 20ms calm, 30ms hot: still the same incident
+		51, 61, // 40,50ms calm: clear at 50ms; storm 2 hot at 60,70ms
+		101, // 80,90ms calm: clear at 90ms; storm 4 at 110ms
+	} {
+		addAt(k, ctr, ms*simtime.Millisecond, 150)
+	}
+	k.RunUntil(simtime.Time(150 * simtime.Millisecond))
+	if got := breachTimes(e); len(got) != 3 || got[0] != 10 || got[1] != 60 || got[2] != 110 {
+		t.Fatalf("breaches at %v ms, want [10 60 110]", got)
+	}
+	if st := e.Status(); st[0].Breaches != 3 || e.Breached() {
+		t.Fatalf("status = %+v", st)
+	}
+}
+
+// TestDumpOnBreach takes a flight-recorder dump from a bus subscriber
+// the moment an objective breaches: the dump holds what was in flight
+// when the incident opened, not what happened after.
+func TestDumpOnBreach(t *testing.T) {
+	k := sim.NewKernel(13)
+	e, ctr := detector(k, 100, 2)
+	rec := flighttrace.NewRecorder(64).Attach(k.Trace(), telemetry.EvAll)
+	var dump bytes.Buffer
+	k.OnAnnounce(func(v any) {
+		if a, ok := v.(SLOAlert); ok && !a.Cleared {
+			fmt.Fprintf(&dump, "=== %s — flight recorder dump ===\n", a)
+			if err := rec.WriteText(&dump); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	k.After(1*simtime.Millisecond, func() {
+		k.Trace().Emit(telemetry.Event{Type: telemetry.EvPauseXOFF, Node: "dev", Port: 2, Pri: 3})
+		ctr.Add(500)
+	})
+	k.After(15*simtime.Millisecond, func() {
+		k.Trace().Emit(telemetry.Event{Type: telemetry.EvPauseXON, Node: "late", Port: 2, Pri: 3})
+	})
+	k.RunUntil(simtime.Time(20 * simtime.Millisecond))
+	if !e.Breached() {
+		t.Fatal("storm did not breach")
+	}
+	out := dump.String()
+	for _, want := range []string{"BREACH incident at 10ms", "flight recorder dump", "pause-xoff", "dev"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("dump missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "late") {
+		t.Fatalf("dump holds an event from after the breach:\n%s", out)
 	}
 }

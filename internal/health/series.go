@@ -80,12 +80,14 @@ func (b Bucket) Mean() float64 {
 	return b.Sum / float64(b.N)
 }
 
-// ring is a fixed-capacity FIFO of buckets; pushing onto a full ring
-// evicts the oldest.
+// ring is a bounded FIFO of buckets: it grows on demand up to cap, and
+// pushing onto a full ring evicts the oldest. Growing lazily keeps a
+// short run's series small — a fleet-scale scrape holds tens of
+// thousands of series that each see only a handful of samples.
 type ring struct {
 	buf     []Bucket
+	cap     int
 	start   int
-	n       int
 	evicted bool
 }
 
@@ -93,29 +95,29 @@ func newRing(cap int) ring {
 	if cap < 1 {
 		cap = 1
 	}
-	return ring{buf: make([]Bucket, cap)}
+	return ring{cap: cap}
 }
 
 func (r *ring) push(b Bucket) {
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = b
-		r.n++
+	if len(r.buf) < r.cap {
+		// Not yet full, so nothing has wrapped: start is 0.
+		r.buf = append(r.buf, b)
 		return
 	}
 	r.buf[r.start] = b
-	r.start = (r.start + 1) % len(r.buf)
+	r.start = (r.start + 1) % r.cap
 	r.evicted = true
 }
 
 // at returns the i-th retained bucket, oldest first.
 func (r *ring) at(i int) Bucket { return r.buf[(r.start+i)%len(r.buf)] }
 
-func (r *ring) len() int { return r.n }
+func (r *ring) len() int { return len(r.buf) }
 
 // TieredSeries is a bounded time series with a retention ladder: every
 // sample lands in the raw ring; each 10 samples fold into one mid-tier
-// bucket; each 100 into one coarse bucket. Memory is fixed at
-// construction regardless of run length, and windowed queries answer
+// bucket; each 100 into one coarse bucket. Memory is bounded by the
+// tier caps regardless of run length, and windowed queries answer
 // from the finest tier that still retains the window's start — recent
 // windows get raw resolution, old ones a downsampled summary, exactly
 // the trade a production monitoring store makes.
@@ -181,7 +183,7 @@ func (t *TieredSeries) Last() (Bucket, bool) {
 // any from — even one before its oldest bucket's Start (e.g. from=0
 // against a series whose first sample landed later).
 func covers(r *ring, from simtime.Time) bool {
-	return r.n > 0 && (!r.evicted || r.at(0).Start <= from)
+	return r.len() > 0 && (!r.evicted || r.at(0).Start <= from)
 }
 
 // Window aggregates every retained sample in [from, to], answering from

@@ -191,8 +191,7 @@ func (c Campaign) runCase(cs Case) Cell {
 	}
 	cfg := core.DefaultConfig(spec)
 	// One picosecond off the millisecond grid, same reason as
-	// rolloutStart: collector and scraper ticks never tie with data
-	// events.
+	// rolloutStart: health scrapes never tie with data events.
 	cfg.MonitorInterval = 10*simtime.Millisecond + 1
 	d, err := core.New(k, cfg)
 	if err != nil {
@@ -239,24 +238,18 @@ func (c Campaign) runCase(cs Case) Cell {
 
 	// The SLO gate watches congestion drops on the lossless classes —
 	// the §6.2 signature — through the health plane's burn-rate engine.
-	hs := health.NewScraper(k, health.ScrapeConfig{
-		Interval: cfg.MonitorInterval,
-		Filter: func(key string) bool {
-			return hasSuffix(key, "/lossless_drops")
-		},
-	})
+	hs := d.Health
 	eng := health.NewEngine(k, hs)
 	eng.Add(health.Objective{
 		Name: "lossless-drops", Bad: health.OverDelta(hs, "/lossless_drops", 1),
 		LongWindow: cfg.MonitorInterval,
 	})
-	hs.Start()
 
 	// Per-interval goodput of the measured streams.
 	var windows []float64
 	var windowEnd []simtime.Time
 	var lastBytes uint64
-	d.Mon.AfterSample(func(now simtime.Time) {
+	hs.OnScrape(func(now simtime.Time) {
 		var tot uint64
 		for _, st := range streams {
 			tot += st.Done * uint64(st.Size)
@@ -362,10 +355,6 @@ func mean(xs []float64) float64 {
 		t += x
 	}
 	return t / float64(len(xs))
-}
-
-func hasSuffix(s, suffix string) bool {
-	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
 }
 
 func fnv64(s string) uint64 {

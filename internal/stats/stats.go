@@ -1,7 +1,7 @@
-// Package stats provides the measurement primitives the monitoring system
-// and the experiment harnesses share: streaming log-bucketed histograms
-// for latency percentiles, windowed counters for pause-frame and traffic
-// time series, and simple rate/goodput accounting.
+// Package stats provides the measurement primitives the monitoring
+// systems and the experiment harnesses share: streaming log-bucketed
+// histograms for latency percentiles, a mergeable quantile sketch, and a
+// fixed-interval sample series with a terminal sparkline.
 package stats
 
 import (
@@ -226,22 +226,6 @@ func (h *Histogram) CDF() (xs, ys []float64) {
 	return xs, ys
 }
 
-// Counter is a monotonically increasing counter with optional windowed
-// sampling into a time series (the shape of the paper's "pause frames per
-// 5 minutes" plots).
-type Counter struct {
-	value uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.value++ }
-
-// Value returns the current total.
-func (c *Counter) Value() uint64 { return c.value }
-
 // Series is a fixed-interval time series of counter deltas or gauge
 // samples.
 type Series struct {
@@ -252,34 +236,6 @@ type Series struct {
 
 // Record appends a sample.
 func (s *Series) Record(v float64) { s.Samples = append(s.Samples, v) }
-
-// Max returns the largest sample (0 when empty).
-func (s *Series) Max() float64 {
-	m := 0.0
-	for _, v := range s.Samples {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Sum returns the total of all samples.
-func (s *Series) Sum() float64 {
-	t := 0.0
-	for _, v := range s.Samples {
-		t += v
-	}
-	return t
-}
-
-// Mean returns the average sample (0 when empty).
-func (s *Series) Mean() float64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	return s.Sum() / float64(len(s.Samples))
-}
 
 // Sparkline renders the series as an ASCII sparkline for terminal report
 // output.
@@ -323,24 +279,4 @@ func (s *Series) Sparkline(width int) string {
 		b.WriteRune(marks[i])
 	}
 	return b.String()
-}
-
-// MeanStd returns the sample mean and standard deviation of xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, v := range xs {
-		mean += v
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	var ss float64
-	for _, v := range xs {
-		d := v - mean
-		ss += d * d
-	}
-	return mean, math.Sqrt(ss / float64(len(xs)-1))
 }

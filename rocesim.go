@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"rocesim/internal/core"
+	"rocesim/internal/health"
 	"rocesim/internal/monitor"
 	"rocesim/internal/pcap"
 	"rocesim/internal/sim"
@@ -204,8 +205,10 @@ func (c *Cluster) NewPingmesh() *monitor.Pingmesh {
 	return monitor.NewPingmesh(c.kernel, monitor.DefaultPingmesh())
 }
 
-// Monitor exposes the counter collector wired at build time.
-func (c *Cluster) Monitor() *monitor.Collector { return c.dep.Mon }
+// Monitor exposes the health scraper wired at build time: every
+// device's pause_rx and lossless_drops counters as per-interval delta
+// series. Hang an SLO engine (health.NewEngine) off it to alert.
+func (c *Cluster) Monitor() *health.Scraper { return c.dep.Health }
 
 // CheckDrift runs the configuration drift check.
 func (c *Cluster) CheckDrift() []monitor.Drift { return c.dep.CheckDrift() }
